@@ -114,9 +114,9 @@ fn run_openloop(fused: bool) -> u64 {
 }
 
 /// Scheduler-only kernel: post bursts across the delay classes the engine
-/// distinguishes — lane-hot repeats, an exact wheel granule, overflow-heap
-/// RTO-scale delays and zero-delay refeeds — against a no-op component, so
-/// the measured rate is pure post/pop cost.
+/// distinguishes — lane-hot repeats, a 65.536 ns delay, RTO-scale delays
+/// and zero-delay refeeds — against a no-op component, so the measured rate
+/// is pure post/pop cost.
 fn run_sched_micro() -> (u64, f64) {
     struct Sink;
     impl Component<u64> for Sink {

@@ -39,6 +39,6 @@ pub mod world;
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use time::{Speed, Time};
 pub use world::{
-    set_default_lanes, set_default_scheduler, Component, ComponentId, Ctx, Event, EventKindCounts,
-    SchedulerKind, World, WorldOp,
+    set_default_scheduler, Component, ComponentId, Ctx, Event, EventKindCounts, SchedulerKind,
+    World, WorldOp,
 };

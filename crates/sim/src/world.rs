@@ -11,13 +11,14 @@
 //!
 //! Two scheduler implementations share that ordering contract:
 //!
-//! * [`SchedulerKind::TwoTier`] (default) — the hot path. Zero-delay
-//!   handoffs (`Ctx::forward`, the queue→pipe→switch→host chains that
-//!   dominate event counts) go to a plain FIFO "fast lane" and never touch
-//!   an ordered structure; short-delay timers (serialization, propagation,
-//!   pacing) go into a 1024-slot timing wheel; far-future timers
-//!   (retransmission timeouts and the like) overflow into a binary heap and
-//!   migrate into the wheel as its window slides forward.
+//! * [`SchedulerKind::TwoTier`] (default) — the hot path, three
+//!   structures. Zero-delay handoffs (`Ctx::forward`, the
+//!   queue→pipe→switch→host chains that dominate event counts) go to a
+//!   plain FIFO "fast lane" and never touch an ordered structure; timed
+//!   posts at a hot exact delay (serialization, propagation, pull pacing)
+//!   ride a per-delay FIFO "delay lane" that is sorted by construction;
+//!   every other timed post (retransmission timeouts, one-off delays) goes
+//!   to one binary heap.
 //! * [`SchedulerKind::Classic`] — the seed's single binary heap, kept as
 //!   the reference implementation. The golden-trace tests assert both
 //!   schedulers produce bit-identical event orderings, and the engine bench
@@ -25,10 +26,10 @@
 //!
 //! Why the fast lane preserves ordering: sequence numbers are assigned in
 //! posting order, the clock only reaches an instant `t` after every event
-//! scheduled *for* `t` from earlier instants is already in the wheel, and
-//! every event posted *at* `t` for `t` lands behind them in the FIFO. So
-//! draining "due wheel batch, then fast lane" is exactly ascending
-//! `(time, seq)` order — what the classic heap produces.
+//! scheduled *for* `t` from earlier instants is already in a delay lane or
+//! the heap, and every event posted *at* `t` for `t` lands behind them in
+//! the FIFO. So draining "the whole timed batch at `t`, then fast lane" is
+//! exactly ascending `(time, seq)` order — what the classic heap produces.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -144,7 +145,8 @@ impl<M> Ord for Scheduled<M> {
 /// Which event-queue implementation a [`World`] runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// Timing wheel + overflow heap + zero-delay fast lane (default).
+    /// Zero-delay fast lane + per-delay FIFO lanes + one heap for every
+    /// other timed post (default).
     TwoTier,
     /// The seed's single binary heap — reference implementation.
     Classic,
@@ -202,34 +204,6 @@ fn default_scheduler() -> SchedulerKind {
     }
 }
 
-/// Process-wide default for the two-tier scheduler's delay lanes:
-/// 0 = unset, 1 = on, 2 = off. Overridable via `NDP_LANES=on|off` or
-/// [`set_default_lanes`]. Lanes are a pure scheduling optimization — the
-/// golden traces and the lane A/B proptests pin that flipping this cannot
-/// change any run's results, only its speed.
-static DEFAULT_LANES: AtomicU8 = AtomicU8::new(0);
-
-/// Set whether subsequently created two-tier worlds register delay lanes.
-pub fn set_default_lanes(enabled: bool) {
-    DEFAULT_LANES.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-fn default_lanes() -> bool {
-    match DEFAULT_LANES.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let enabled = match std::env::var("NDP_LANES").as_deref() {
-                Err(_) | Ok("") | Ok("on") | Ok("1") => true,
-                Ok("off") | Ok("0") => false,
-                Ok(v) => panic!("NDP_LANES must be 'on' or 'off', got '{v}'"),
-            };
-            set_default_lanes(enabled);
-            enabled
-        }
-    }
-}
-
 /// Out-of-line panic for events addressed to a vacated (reserved or
 /// never-installed) slot, keeping the dispatch loop's hot body small.
 #[cold]
@@ -238,20 +212,12 @@ fn missing_component(id: ComponentId) -> ! {
     panic!("event for missing component {id}")
 }
 
-/// Timing-wheel geometry: 1024 slots of 2^16 ps (≈65.5 ns) cover a window
-/// of ≈67 µs — serialization times, propagation delays and pull pacing all
-/// land in the wheel; millisecond-scale retransmission timers overflow to
-/// the heap. Both are powers of two so slot math is shifts and masks.
-const GRAN_SHIFT: u32 = 16;
-const SLOTS: usize = 1024;
-const SLOT_MASK: u64 = SLOTS as u64 - 1;
-
 /// Per-exact-delay FIFO lanes. A workload posts the overwhelming majority
 /// of its timed events at a handful of distinct delays (wire latency,
 /// tx_time quanta, pacer spacing, the RTO); since the clock is monotone,
 /// posts of `now + D` for a fixed `D` arrive in ascending `(at, seq)`
 /// order, so each such delay can ride a plain FIFO that is pre-sorted by
-/// construction — no slot hashing, no occupancy scan, no refill.
+/// construction — no comparisons, no heap sifts.
 const MAX_LANES: usize = 16;
 /// Delays above this (10 ms, in ps) never get a lane: they are RTO-scale
 /// one-offs or `Time::MAX`-style sentinels, not hot-path quanta.
@@ -263,28 +229,15 @@ const LANE_CANDIDATES: usize = 8;
 
 struct TwoTier<M> {
     /// Events due at the current instant, drained before everything else
-    /// (ascending `seq`; extracted from the wheel as one batch).
+    /// (ascending `seq`; the rest of a timed instant's batch once its first
+    /// event is handed out).
     due: VecDeque<Scheduled<M>>,
     /// Zero-delay posts made *at* the current instant (FIFO == seq order;
     /// all seqs here are larger than anything in `due`).
     fast: VecDeque<Scheduled<M>>,
-    /// One rotation's worth of future events, bucketed by slot.
-    wheel: Vec<Vec<Scheduled<M>>>,
-    /// Earliest timestamp in each bucket (`Time::MAX` when empty), kept
-    /// exact on every push/extract so refills never rescan a bucket to
-    /// find their batch instant.
-    min_at: Vec<Time>,
-    /// Occupancy bitmap over the wheel slots (bit i == slot i non-empty):
-    /// sliding to the next busy slot is a couple of word scans instead of
-    /// up to a rotation of per-bucket emptiness probes.
-    occ: [u64; SLOTS / 64],
-    wheel_len: usize,
-    /// Time (ps) at which the cursor slot starts; the wheel window is
-    /// `[wheel_start, wheel_start + SLOTS << GRAN_SHIFT)`.
-    wheel_start: u64,
-    cursor: usize,
-    /// Events beyond the wheel window, ordered by `(at, seq)`.
-    overflow: BinaryHeap<Reverse<Scheduled<M>>>,
+    /// Every timed post that rides no lane (one-shot delays, RTO-scale
+    /// timers, sentinels), ordered by `(at, seq)`.
+    heap: BinaryHeap<Reverse<Scheduled<M>>>,
     /// Per-exact-delay FIFO lanes (registered on a delay's second sighting,
     /// at most [`MAX_LANES`]). Each lane is sorted by `(at, seq)` by
     /// construction — see [`TwoTier::push_timed`]. The lane *keys* live in
@@ -302,140 +255,57 @@ struct TwoTier<M> {
     /// Ring of recently-missed lane-eligible delays (promotion candidates).
     lane_cand: [u64; LANE_CANDIDATES],
     lane_cand_idx: usize,
-    /// Lane registration on/off (`NDP_LANES` / [`set_default_lanes`]); the
-    /// A/B contract is that flipping this cannot change any run's results.
-    lanes_enabled: bool,
 }
 
 impl<M> TwoTier<M> {
-    fn new(lanes_enabled: bool) -> TwoTier<M> {
+    fn new() -> TwoTier<M> {
         TwoTier {
             // Seeded at the shrink_idle floor: the first burst grows from a
             // warm base instead of doubling up from an empty buffer.
             due: VecDeque::with_capacity(32),
             fast: VecDeque::with_capacity(32),
-            wheel: (0..SLOTS).map(|_| Vec::new()).collect(),
-            min_at: vec![Time::MAX; SLOTS],
-            occ: [0; SLOTS / 64],
-            wheel_len: 0,
-            wheel_start: 0,
-            cursor: 0,
-            overflow: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
             lanes: Vec::new(),
             lane_delays: [u64::MAX; MAX_LANES],
             lane_fronts: [u64::MAX; MAX_LANES],
             lane_cand: [u64::MAX; LANE_CANDIDATES],
             lane_cand_idx: 0,
-            lanes_enabled,
         }
-    }
-
-    #[inline]
-    fn mark_occupied(occ: &mut [u64; SLOTS / 64], idx: usize) {
-        occ[idx >> 6] |= 1u64 << (idx & 63);
-    }
-
-    #[inline]
-    fn clear_occupied(&mut self, idx: usize) {
-        self.occ[idx >> 6] &= !(1u64 << (idx & 63));
-    }
-
-    /// Distance (in slots) from the window base to the first occupied
-    /// slot. Caller guarantees `wheel_len > 0`, so the scan terminates.
-    #[inline]
-    fn first_occupied_ahead(&self, base: u64) -> u64 {
-        let start = (base & SLOT_MASK) as usize;
-        let mut w = start >> 6;
-        let mut word = self.occ[w] & (u64::MAX << (start & 63));
-        while word == 0 {
-            w = (w + 1) % (SLOTS / 64);
-            word = self.occ[w];
-        }
-        let idx = (w << 6) + word.trailing_zeros() as usize;
-        (idx.wrapping_sub(start) & SLOT_MASK as usize) as u64
-    }
-
-    /// Is slot number `slot_num` within one rotation of the window base?
-    /// Slot-difference form: safe against u64 overflow even for events at
-    /// `Time::MAX` (events are never posted before the window, so the
-    /// difference is well-defined).
-    #[inline]
-    fn in_window(&self, slot_num: u64) -> bool {
-        debug_assert!(slot_num >= self.wheel_start >> GRAN_SHIFT);
-        slot_num - (self.wheel_start >> GRAN_SHIFT) < SLOTS as u64
     }
 
     #[inline]
     fn push_timed(&mut self, now: Time, s: Scheduled<M>) {
-        if self.lanes_enabled {
-            let delay = s.at.as_ps() - now.as_ps();
-            let n = self.lanes.len();
-            // Packed key scan: all registered delays fit in two cache
-            // lines, so the common hit never touches a queue it won't use.
-            for i in 0..n {
-                if self.lane_delays[i] == delay {
-                    let q = &mut self.lanes[i];
-                    // Monotone clock + fixed delay + monotone seq: the lane
-                    // stays sorted by `(at, seq)` with plain appends.
-                    debug_assert!(q.back().is_none_or(|b| (b.at, b.seq) < (s.at, s.seq)));
-                    if q.is_empty() {
-                        self.lane_fronts[i] = s.at.as_ps();
-                    }
-                    q.push_back(s);
-                    return;
+        let delay = s.at.as_ps() - now.as_ps();
+        let n = self.lanes.len();
+        // Packed key scan: all registered delays fit in two cache lines, so
+        // the common hit never touches a queue it won't use.
+        for i in 0..n {
+            if self.lane_delays[i] == delay {
+                let q = &mut self.lanes[i];
+                // Monotone clock + fixed delay + monotone seq: the lane
+                // stays sorted by `(at, seq)` with plain appends.
+                debug_assert!(q.back().is_none_or(|b| (b.at, b.seq) < (s.at, s.seq)));
+                if q.is_empty() {
+                    self.lane_fronts[i] = s.at.as_ps();
                 }
-            }
-            if delay <= LANE_MAX_DELAY_PS && n < MAX_LANES {
-                if self.lane_cand.contains(&delay) {
-                    // Second sighting: promote to a lane.
-                    self.lane_delays[n] = delay;
-                    self.lane_fronts[n] = s.at.as_ps();
-                    let mut q = VecDeque::with_capacity(32);
-                    q.push_back(s);
-                    self.lanes.push(q);
-                    return;
-                }
-                self.lane_cand[self.lane_cand_idx] = delay;
-                self.lane_cand_idx = (self.lane_cand_idx + 1) % LANE_CANDIDATES;
+                q.push_back(s);
+                return;
             }
         }
-        let slot_num = s.at.as_ps() >> GRAN_SHIFT;
-        if self.in_window(slot_num) {
-            let idx = (slot_num & SLOT_MASK) as usize;
-            let m = &mut self.min_at[idx];
-            if s.at < *m {
-                *m = s.at;
+        if delay <= LANE_MAX_DELAY_PS && n < MAX_LANES {
+            if self.lane_cand.contains(&delay) {
+                // Second sighting: promote to a lane.
+                self.lane_delays[n] = delay;
+                self.lane_fronts[n] = s.at.as_ps();
+                let mut q = VecDeque::with_capacity(32);
+                q.push_back(s);
+                self.lanes.push(q);
+                return;
             }
-            Self::mark_occupied(&mut self.occ, idx);
-            self.wheel[idx].push(s);
-            self.wheel_len += 1;
-        } else {
-            self.overflow.push(Reverse(s));
+            self.lane_cand[self.lane_cand_idx] = delay;
+            self.lane_cand_idx = (self.lane_cand_idx + 1) % LANE_CANDIDATES;
         }
-    }
-
-    /// Advance the window so the cursor slot contains `slot_num`, pulling
-    /// any overflow events the slide uncovered into the wheel. The
-    /// invariant after every commit: the overflow heap only holds events at
-    /// or beyond the wheel window's end.
-    fn commit_cursor(&mut self, slot_num: u64) {
-        self.wheel_start = slot_num << GRAN_SHIFT;
-        self.cursor = (slot_num & SLOT_MASK) as usize;
-        while let Some(Reverse(top)) = self.overflow.peek() {
-            let top_slot = top.at.as_ps() >> GRAN_SHIFT;
-            if !self.in_window(top_slot) {
-                break;
-            }
-            let Reverse(s) = self.overflow.pop().expect("peeked");
-            let idx = (top_slot & SLOT_MASK) as usize;
-            let m = &mut self.min_at[idx];
-            if s.at < *m {
-                *m = s.at;
-            }
-            Self::mark_occupied(&mut self.occ, idx);
-            self.wheel[idx].push(s);
-            self.wheel_len += 1;
-        }
+        self.heap.push(Reverse(s));
     }
 
     /// Advance to the earliest timed batch, if it is due by `horizon`:
@@ -443,14 +313,14 @@ impl<M> TwoTier<M> {
     /// Leaves all state untouched when the next event lies beyond the
     /// horizon, so interrupted runs can resume consistently.
     ///
-    /// With lanes on, the earliest instant is the minimum over the packed
-    /// lane-front cache and the wheel/overflow tier. The winning tier
-    /// serves the whole batch at that instant: lane runs are pre-sorted by
-    /// seq, the wheel path is the pre-lane engine unchanged, and an exact
-    /// tie merges every same-instant run by seq (two tied lanes — the
-    /// dominant shape — via [`TwoTier::merge_two_lanes`], anything wider
-    /// via [`TwoTier::merge_tied_batch`]) — so dispatch order stays
-    /// exactly ascending `(time, seq)`.
+    /// The earliest instant is the minimum over the packed lane-front
+    /// cache and the heap top. The winning tier serves the whole batch at
+    /// that instant — lane runs are pre-sorted by seq, the heap pops in
+    /// `(at, seq)` order — and an exact tie merges every same-instant run
+    /// by seq (two tied lanes — the dominant shape — via
+    /// [`TwoTier::merge_two_lanes`], anything wider via
+    /// [`TwoTier::merge_tied_batch`]), so dispatch order stays exactly
+    /// ascending `(time, seq)`.
     fn refill_pop(&mut self, horizon: Time) -> Option<Scheduled<M>> {
         // Earliest lane front, and how many lanes tie at that instant.
         // Reads only the packed front-timestamp cache — empty lanes carry
@@ -473,45 +343,18 @@ impl<M> TwoTier<M> {
                 lane_ties += 1;
             }
         }
-        let t_lane = Time::from_ps(t_lane_ps);
-        let have_lane = lane_first != usize::MAX;
-
-        // Earliest wheel/overflow instant, computed *without* committing
-        // the cursor: a losing or beyond-horizon wheel stays untouched.
-        let mut t_wheel = Time::MAX;
-        let mut slot_num = 0u64;
-        let mut have_wheel = false;
-        if self.wheel_len == 0 {
-            if let Some(Reverse(top)) = self.overflow.peek() {
-                // Teleport target: the heap top is the earliest timed event
-                // outside the lanes, so it is also the earliest in the
-                // cursor slot it lands in — no scan.
-                t_wheel = top.at;
-                slot_num = top.at.as_ps() >> GRAN_SHIFT;
-                have_wheel = true;
-            }
-        } else {
-            // Slide target: the occupancy bitmap hands us the next busy
-            // slot, and the bucket-min cache its batch instant — no bucket
-            // scan. The overflow heap cannot beat this: after every commit
-            // it only holds events at or beyond the window's end.
-            let base = self.wheel_start >> GRAN_SHIFT;
-            let ahead = self.first_occupied_ahead(base);
-            slot_num = base + ahead;
-            t_wheel = self.min_at[(slot_num & SLOT_MASK) as usize];
-            have_wheel = true;
-        }
-
-        if !have_lane && !have_wheel {
-            return None;
-        }
-        let t_min = t_lane.min(t_wheel);
+        let t_lane = (lane_first != usize::MAX).then(|| Time::from_ps(t_lane_ps));
+        let t_heap = self.heap.peek().map(|Reverse(top)| top.at);
+        let t_min = match (t_lane, t_heap) {
+            (Some(tl), Some(th)) => tl.min(th),
+            (tl, th) => tl.or(th)?,
+        };
         if t_min > horizon {
             return None;
         }
 
-        if have_lane && t_lane <= t_wheel {
-            if t_lane < t_wheel {
+        if t_lane == Some(t_min) {
+            if t_heap != Some(t_min) {
                 if lane_ties == 1 {
                     // The hot lane path: one lane owns the earliest instant
                     // outright. Its front is the next event; the rest of a
@@ -520,7 +363,7 @@ impl<M> TwoTier<M> {
                     // can jump ahead of it.
                     let lane = &mut self.lanes[lane_first];
                     let s = lane.pop_front();
-                    while lane.front().is_some_and(|f| f.at == t_lane) {
+                    while lane.front().is_some_and(|f| f.at == t_min) {
                         let e = lane.pop_front().expect("peeked");
                         self.due.push_back(e);
                     }
@@ -528,70 +371,27 @@ impl<M> TwoTier<M> {
                     return s;
                 }
                 if lane_ties == 2 {
-                    return self.merge_two_lanes(t_lane, lane_first, lane_second);
+                    return self.merge_two_lanes(t_min, lane_first, lane_second);
                 }
             }
-            // Three or more lanes — or lanes and the wheel — tie.
-            return self.merge_tied_batch(t_min, have_wheel && t_wheel == t_min, slot_num);
+            // Three or more lanes — or lanes and the heap — tie.
+            return self.merge_tied_batch(t_min, t_heap == Some(t_min));
         }
 
-        // Wheel-only service: the pre-lane engine, unchanged.
-        // The commit can only pull overflow events into slots beyond
-        // the *old* window's end — never into the cursor slot (a slot
-        // number congruent to it mod SLOTS would lie outside the new
-        // window) — so `t_min` stays the cursor's minimum.
-        self.commit_cursor(slot_num);
-        let cursor = self.cursor;
-        let bucket = &mut self.wheel[cursor];
-        debug_assert_eq!(
-            bucket.iter().map(|s| s.at).min(),
-            Some(t_min),
-            "bucket-min cache desynced from cursor bucket"
-        );
-        debug_assert!(t_min <= horizon);
-        if bucket.len() == 1 {
-            // Singleton bucket — the common case for spread-out timers:
-            // hand the event straight out, skipping the batch extraction
-            // and the `due` round-trip entirely.
-            let s = bucket.pop();
-            self.wheel_len -= 1;
-            self.min_at[cursor] = Time::MAX;
-            self.clear_occupied(cursor);
-            return s;
+        // Heap-only service. The rest of the heap's same-instant batch is
+        // staged in `due` too: left in the heap, it would lose to fast-lane
+        // posts the first event's dispatch makes at this instant, although
+        // those carry larger seqs.
+        let Reverse(s) = self.heap.pop().expect("peeked");
+        while self.heap.peek().is_some_and(|Reverse(top)| top.at == t_min) {
+            let Reverse(e) = self.heap.pop().expect("peeked");
+            self.due.push_back(e);
         }
-        // Extract the batch at the earliest instant in the cursor slot.
-        // Bucket insertion order guarantees ascending seq within one
-        // timestamp (see commit_cursor's invariant + monotone windows), so
-        // `extract_if`'s stable drain hands us the batch already ordered.
-        // The same pass recomputes the min of what stays behind.
-        let mut rest_min = Time::MAX;
-        let before = bucket.len();
-        self.due.extend(bucket.extract_if(.., |s| {
-            if s.at == t_min {
-                true
-            } else {
-                if s.at < rest_min {
-                    rest_min = s.at;
-                }
-                false
-            }
-        }));
-        let bucket_len = self.wheel[cursor].len();
-        self.wheel_len -= before - bucket_len;
-        self.min_at[cursor] = rest_min;
-        if bucket_len == 0 {
-            self.clear_occupied(cursor);
-        }
-        debug_assert!(self
-            .due
-            .iter()
-            .zip(self.due.iter().skip(1))
-            .all(|(a, b)| a.seq < b.seq));
-        self.due.pop_front()
+        Some(s)
     }
 
     /// Serve an instant owned by exactly two lanes — the dominant tie
-    /// shape by far (two hot delays landing on one instant; the wheel is
+    /// shape by far (two hot delays landing on one instant; the heap is
     /// involved in well under 0.1% of ties). Each lane's same-instant run
     /// ascends in seq, so a two-pointer merge restores the exact global
     /// posting order without the generic path's full lane rescan and sort.
@@ -625,43 +425,21 @@ impl<M> TwoTier<M> {
         self.due.pop_front()
     }
 
-    /// Serve an instant `t` owned by several sources at once: the full
-    /// wheel batch at `t` (if `wheel_at_t`) plus every lane's same-instant
+    /// Serve an instant `t` owned by several sources at once: the heap's
+    /// whole batch at `t` (if `heap_at_t`) plus every lane's same-instant
     /// run. Each source contributes an ascending-seq run, so sorting the
     /// merged batch by seq restores the exact global posting order. Cold:
     /// pure two-lane ties — the overwhelming bulk of collisions — are
     /// peeled off by [`TwoTier::merge_two_lanes`] before this runs, and
-    /// what remains (wheel involvement, 3+ lanes) is rare with tiny
+    /// what remains (heap involvement, 3+ lanes) is rare with tiny
     /// batches, so a sort beats a k-way merge here.
     #[inline(never)]
-    fn merge_tied_batch(
-        &mut self,
-        t: Time,
-        wheel_at_t: bool,
-        slot_num: u64,
-    ) -> Option<Scheduled<M>> {
+    fn merge_tied_batch(&mut self, t: Time, heap_at_t: bool) -> Option<Scheduled<M>> {
         debug_assert!(self.due.is_empty());
-        if wheel_at_t {
-            self.commit_cursor(slot_num);
-            let cursor = self.cursor;
-            let bucket = &mut self.wheel[cursor];
-            let mut rest_min = Time::MAX;
-            let before = bucket.len();
-            self.due.extend(bucket.extract_if(.., |s| {
-                if s.at == t {
-                    true
-                } else {
-                    if s.at < rest_min {
-                        rest_min = s.at;
-                    }
-                    false
-                }
-            }));
-            let bucket_len = self.wheel[cursor].len();
-            self.wheel_len -= before - bucket_len;
-            self.min_at[cursor] = rest_min;
-            if bucket_len == 0 {
-                self.clear_occupied(cursor);
+        if heap_at_t {
+            while self.heap.peek().is_some_and(|Reverse(top)| top.at == t) {
+                let Reverse(e) = self.heap.pop().expect("peeked");
+                self.due.push_back(e);
             }
         }
         for i in 0..self.lanes.len() {
@@ -696,34 +474,28 @@ impl<M> TwoTier<M> {
     fn is_empty(&self) -> bool {
         self.due.is_empty()
             && self.fast.is_empty()
-            && self.wheel_len == 0
-            && self.overflow.is_empty()
+            && self.heap.is_empty()
             && self.lanes.iter().all(|q| q.is_empty())
     }
 
     /// Release burst-sized capacity held since the last traffic peak.
     ///
-    /// During a run the wheel buckets and the `due`/`fast` lanes deliberately
-    /// never shrink — `extract_if` drains a bucket in place and the next
-    /// rotation reuses its allocation, which is what keeps steady-state
-    /// refills allocation-free. The flip side is that one incast burst pins
-    /// its high-water allocation for the rest of the process, which matters
-    /// for long sweep campaigns running many worlds. Called between sweep
-    /// points (see `World::shrink_idle`), this trims everything back to a
-    /// small per-structure floor while keeping pending events intact.
+    /// During a run the `due`/`fast` FIFOs, the delay lanes and the heap
+    /// deliberately never shrink — reusing their allocations is what keeps
+    /// steady-state posts and refills allocation-free. The flip side is
+    /// that one incast burst pins its high-water allocation for the rest
+    /// of the process, which matters for long sweep campaigns running many
+    /// worlds. Called between sweep points (see `World::shrink_idle`), this
+    /// trims everything back to a small per-structure floor while keeping
+    /// pending events intact.
     fn shrink_idle(&mut self) {
         // Floor keeps the common steady-state capacity so the next burst
         // doesn't start from zero.
         const KEEP: usize = 32;
         self.due.shrink_to(KEEP);
         self.fast.shrink_to(KEEP);
-        for bucket in &mut self.wheel {
-            if bucket.capacity() > KEEP {
-                bucket.shrink_to(KEEP.max(bucket.len()));
-            }
-        }
-        if self.overflow.capacity() > KEEP {
-            self.overflow.shrink_to(KEEP.max(self.overflow.len()));
+        if self.heap.capacity() > KEEP {
+            self.heap.shrink_to(KEEP.max(self.heap.len()));
         }
         // Delay lanes keep their registration (the hot delays of the next
         // sweep point are usually the same) but release burst capacity.
@@ -738,7 +510,8 @@ impl<M> TwoTier<M> {
 /// The forward/timed split mirrors the two-tier scheduler's lanes: zero
 /// delay (`forward`) is the dominant packet-handoff class that rides the
 /// FIFO fast lane; positive-delay messages (`timed_msg`, wire arrivals and
-/// serialization completions) and timer wakes (`wake`) go through the wheel.
+/// serialization completions) and timer wakes (`wake`) go through the delay
+/// lanes or the heap.
 /// Train posts count one per carried message, matching `events_processed`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EventKindCounts {
@@ -794,9 +567,9 @@ struct EventQueue<M> {
 /// observed in the workloads while keeping idle retention small.
 const TRAIN_POOL_CAP: usize = 32;
 
-// One queue per world, so the variant size gap (the wheel's inline
-// occupancy bitmap) costs nothing — boxing it would put a pointer chase
-// on every scheduler touch instead.
+// One queue per world, so the variant size gap (the lanes' inline key
+// arrays) costs nothing — boxing it would put a pointer chase on every
+// scheduler touch instead.
 #[allow(clippy::large_enum_variant)]
 enum QueueImpl<M> {
     TwoTier(TwoTier<M>),
@@ -804,9 +577,9 @@ enum QueueImpl<M> {
 }
 
 impl<M> EventQueue<M> {
-    fn new(kind: SchedulerKind, lanes: bool) -> EventQueue<M> {
+    fn new(kind: SchedulerKind) -> EventQueue<M> {
         let imp = match kind {
-            SchedulerKind::TwoTier => QueueImpl::TwoTier(TwoTier::new(lanes)),
+            SchedulerKind::TwoTier => QueueImpl::TwoTier(TwoTier::new()),
             SchedulerKind::Classic => QueueImpl::Classic(BinaryHeap::new()),
         };
         EventQueue {
@@ -901,8 +674,8 @@ impl<M> EventQueue<M> {
             QueueImpl::TwoTier(t) => {
                 if s.at <= now {
                     // Zero-delay fast lane: the dominant event class
-                    // (queue→switch→host handoffs) skips the wheel and
-                    // heap entirely.
+                    // (queue→switch→host handoffs) skips the delay lanes
+                    // and the heap entirely.
                     t.fast.push_back(s);
                 } else {
                     t.push_timed(now, s);
@@ -995,7 +768,7 @@ impl<M> Ctx<'_, M> {
     /// still dispatched, counted and traced individually, in order, at the
     /// same instant — the train is exactly equivalent to calling
     /// [`Ctx::send`] once per message back-to-back, but costs a single
-    /// wheel/heap insertion instead of one per message.
+    /// scheduler insertion instead of one per message.
     ///
     /// Exactness caveat: the equivalence holds only when the replaced
     /// individual posts would have been consecutive — i.e. the caller emits
@@ -1127,18 +900,8 @@ impl<M: 'static> World<M> {
         World::with_scheduler(seed, default_scheduler())
     }
 
-    /// A world on an explicit scheduler implementation, with the
-    /// delay-lane optimization governed by the process default
-    /// (`NDP_LANES` / [`set_default_lanes`]).
+    /// A world on an explicit scheduler implementation.
     pub fn with_scheduler(seed: u64, kind: SchedulerKind) -> World<M> {
-        World::with_scheduler_lanes(seed, kind, default_lanes())
-    }
-
-    /// A world on an explicit scheduler implementation with delay lanes
-    /// explicitly on or off — the constructor the lane-equivalence tests
-    /// use to compare both configurations deterministically. `lanes` only
-    /// affects [`SchedulerKind::TwoTier`]; the classic heap ignores it.
-    pub fn with_scheduler_lanes(seed: u64, kind: SchedulerKind, lanes: bool) -> World<M> {
         World {
             slots: Vec::new(),
             free: Vec::new(),
@@ -1146,7 +909,7 @@ impl<M: 'static> World<M> {
             peak_live: 0,
             stale_dropped: 0,
             deferred: Vec::new(),
-            queue: EventQueue::new(kind, lanes),
+            queue: EventQueue::new(kind),
             now: Time::ZERO,
             rng: SmallRng::seed_from_u64(seed),
             events_processed: 0,
@@ -1251,19 +1014,31 @@ impl<M: 'static> World<M> {
     }
 
     /// Post a message to a component at an absolute time (harness-level).
+    /// Panics if `at` lies before [`World::now`].
     pub fn post(&mut self, at: Time, to: ComponentId, msg: M) {
+        self.check_not_past(at);
         self.queue.post(self.now, at, to, Event::Msg(msg));
     }
 
     /// Post a wake token to a component at an absolute time (harness-level).
+    /// Panics if `at` lies before [`World::now`].
     pub fn post_wake(&mut self, at: Time, to: ComponentId, token: u64) {
+        self.check_not_past(at);
         self.queue.post(self.now, at, to, Event::Wake(token));
     }
 
     /// Post a same-instant message train to a component at an absolute time
     /// as one scheduler entry (harness-level [`Ctx::send_train`]).
+    /// Panics if `at` lies before [`World::now`].
     pub fn post_train(&mut self, at: Time, to: ComponentId, msgs: Vec<M>) {
+        self.check_not_past(at);
         self.queue.post_train(self.now, at, to, msgs);
+    }
+
+    /// Checked in every build: a past post would be dispatched and rewind
+    /// the clock. (The hot `Ctx` paths keep a debug-only check.)
+    fn check_not_past(&self, at: Time) {
+        assert!(at >= self.now, "harness post at {at:?} is before now");
     }
 
     /// Current simulated time.
@@ -1288,10 +1063,11 @@ impl<M: 'static> World<M> {
     }
 
     /// Release burst-sized scheduler capacity accumulated since the last
-    /// traffic peak, keeping all pending events. The wheel buckets and the
-    /// due/fast lanes intentionally never shrink during a run (capacity
-    /// reuse is what keeps refills allocation-free); call this between
-    /// sweep points so a long campaign doesn't hold peak-burst memory.
+    /// traffic peak, keeping all pending events. The due/fast FIFOs, the
+    /// delay lanes and the heap intentionally never shrink during a run
+    /// (capacity reuse is what keeps posts and refills allocation-free);
+    /// call this between sweep points so a long campaign doesn't hold
+    /// peak-burst memory.
     pub fn shrink_idle(&mut self) {
         self.queue.shrink_idle();
     }
@@ -1529,16 +1305,15 @@ mod tests {
 
     #[test]
     fn posts_straddling_an_interrupted_run_stay_ordered() {
-        // Regression guard for the window bookkeeping: a run stopped at a
-        // horizon far before the next (overflow-resident) event must not
-        // let later posts into the gap get reordered.
+        // A run stopped at a horizon far before the next (heap-resident)
+        // event must not let later posts into the gap get reordered.
         for kind in both_kinds() {
             let mut w: World<u32> = World::with_scheduler(1, kind);
             let id = w.add(counter());
-            w.post(Time::from_ms(5), id, 99); // far future: overflow tier
+            w.post(Time::from_ms(5), id, 99); // far future: heap tier
             w.run_until(Time::from_us(10));
             assert_eq!(w.get::<Counter>(id).msgs.len(), 0);
-            // Posted after the interrupted run, due before the overflow one.
+            // Posted after the interrupted run, due before the far-future one.
             w.post(Time::from_us(20), id, 1);
             w.post(Time::from_ms(1), id, 2);
             w.run_until_idle();
@@ -1548,14 +1323,14 @@ mod tests {
     }
 
     #[test]
-    fn wheel_window_wraps_across_many_rotations() {
-        // Events spaced ~1 window apart force repeated slides/teleports.
+    fn widely_spaced_timers_dispatch_in_order() {
+        // Fifty distinct delays ~100 µs apart: none repeats, so all of them
+        // ride the heap rather than a lane.
         for kind in both_kinds() {
             let mut w: World<u32> = World::with_scheduler(1, kind);
             let id = w.add(counter());
-            let window_ps = (SLOTS as u64) << GRAN_SHIFT;
             for i in 0..50u64 {
-                w.post(Time::from_ps(i * window_ps * 3 / 2 + 7), id, i as u32);
+                w.post(Time::from_ps(i * 100_000_007 + 7), id, i as u32);
             }
             w.run_until_idle();
             let got: Vec<u32> = w.get::<Counter>(id).msgs.iter().map(|m| m.1).collect();
@@ -1566,7 +1341,8 @@ mod tests {
     #[test]
     fn events_near_time_max_are_dispatched() {
         // The in-tree "start later via trigger" pattern posts at Time::MAX;
-        // slot arithmetic must not overflow near u64::MAX (regression).
+        // delay arithmetic (lane eligibility, the heap's ordering) must not
+        // overflow near u64::MAX (regression).
         for kind in both_kinds() {
             let mut w: World<u32> = World::with_scheduler(1, kind);
             let id = w.add(counter());
@@ -1685,32 +1461,29 @@ mod tests {
     #[test]
     fn fast_lane_interleaves_with_timed_events_in_seq_order() {
         // Two timed events at the same instant; the first spawns a
-        // zero-delay chain. The second timed event (earlier seq) must still
-        // beat the chained zero-delay messages (later seqs).
+        // zero-delay hop to the second's target. The second timed event
+        // (earlier seq) must still beat the chained message (later seq).
+        // At 1 µs the first post lands in the heap and the second promotes
+        // a delay lane (a lane/heap tie); 30 s is lane-ineligible, so both
+        // ride the heap and its batch must be staged whole.
         for kind in both_kinds() {
-            let mut w: World<u32> = World::with_scheduler(1, kind);
-            let c = w.reserve();
-            let b = w.add(ZeroDelayChain {
-                next: Some(c),
-                got: vec![],
-            });
-            w.install(
-                c,
-                ZeroDelayChain {
-                    next: None,
+            for at in [Time::from_us(1), Time::from_secs(30)] {
+                let mut w: World<u32> = World::with_scheduler(1, kind);
+                let log = w.add(counter());
+                let b = w.add(ZeroDelayChain {
+                    next: Some(log),
                     got: vec![],
-                },
-            );
-            let log = w.add(counter());
-            // seq order at t=1us: msg->b (chains to c), msg->log.
-            w.post(Time::from_us(1), b, 10);
-            w.post(Time::from_us(1), log, 77);
-            w.run_until_idle();
-            // log must be dispatched before the chained message reaches c.
-            let log_time = w.get::<Counter>(log).msgs[0].0;
-            assert_eq!(log_time, Time::from_us(1).as_ps());
-            assert_eq!(w.get::<ZeroDelayChain>(c).got, vec![11]);
-            assert_eq!(w.events_processed(), 3);
+                });
+                w.post(at, b, 10);
+                w.post(at, log, 77);
+                w.run_until_idle();
+                assert_eq!(
+                    w.get::<Counter>(log).msgs,
+                    vec![(at.as_ps(), 77), (at.as_ps(), 11)],
+                    "kind {kind:?} at {at:?}"
+                );
+                assert_eq!(w.events_processed(), 3);
+            }
         }
     }
 
@@ -1779,7 +1552,7 @@ mod tests {
             let t = w.add(SelfTimer { fired: vec![] });
             w.post(Time::ZERO, a, 0);
             w.post(Time::from_ns(150), t, 0);
-            // Overflow tier; a Wake, because SelfTimer's Msg handler arms
+            // Heap tier; a Wake, because SelfTimer's Msg handler arms
             // absolute timers that would lie 2 ms in the past here.
             w.post_wake(Time::from_ms(2), t, 1);
             w.run_until_idle();
@@ -1802,6 +1575,34 @@ mod tests {
             assert_eq!(w.run_until(Time::from_us(4)), 5);
             assert_eq!(w.run_until_idle(), 5);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "is before now")]
+    fn harness_post_into_the_past_panics() {
+        let mut w: World<u32> = World::new(1);
+        let id = w.add(counter());
+        w.run_until(Time::from_us(10)); // empty queue: the clock jumps to 10 µs
+        w.post(Time::from_us(5), id, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is before now")]
+    fn harness_post_wake_into_the_past_panics() {
+        let mut w: World<u32> = World::new(1);
+        let id = w.add(counter());
+        w.run_until(Time::from_us(10));
+        w.post_wake(Time::from_us(5), id, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is before now")]
+    fn harness_post_train_into_the_past_panics() {
+        // Even an empty train, which never reaches the scheduler.
+        let mut w: World<u32> = World::new(1);
+        let id = w.add(counter());
+        w.run_until(Time::from_us(10));
+        w.post_train(Time::from_us(5), id, vec![]);
     }
 
     #[test]
@@ -1999,8 +1800,8 @@ mod tests {
         for kind in both_kinds() {
             let mut w: World<u32> = World::with_scheduler(1, kind);
             let id = w.add(counter());
-            // A burst well past the shrink floor, spread over the wheel,
-            // the overflow tier and the fast lane.
+            // A burst well past the shrink floor, spread over one-shot
+            // delays (the heap) and a far-future timer.
             for i in 0..500u64 {
                 w.post(Time::from_ns(10 + i * 70), id, i as u32);
             }
@@ -2017,10 +1818,10 @@ mod tests {
 
     #[test]
     fn hot_delays_get_promoted_to_lanes_on_second_sighting() {
-        let mut w: World<u32> = World::with_scheduler_lanes(1, SchedulerKind::TwoTier, true);
+        let mut w: World<u32> = World::with_scheduler(1, SchedulerKind::TwoTier);
         let id = w.add(counter());
         // Ten posts at one delay: the first is a candidate sighting (and
-        // lands in the wheel), the second promotes the lane, the rest ride it.
+        // lands in the heap), the second promotes the lane, the rest ride it.
         for i in 0..10 {
             w.post(Time::from_ns(100), id, i);
         }
@@ -2030,15 +1831,15 @@ mod tests {
             };
             assert_eq!(t.lanes.len(), 1);
             assert_eq!(t.lane_delays[0], Time::from_ns(100).as_ps());
-            assert_eq!(t.lanes[0].len(), 9, "first sighting stays in the wheel");
+            assert_eq!(t.lanes[0].len(), 9, "first sighting stays in the heap");
             assert_eq!(
                 t.lane_fronts[0],
                 Time::from_ns(100).as_ps(),
                 "front cache must track the lane head"
             );
-            assert_eq!(t.wheel_len, 1);
+            assert_eq!(t.heap.len(), 1);
         }
-        // The wheel event and the lane run tie at one instant: the merge
+        // The heap event and the lane run tie at one instant: the merge
         // must still deliver in exact posting order.
         w.run_until_idle();
         let got: Vec<u32> = w.get::<Counter>(id).msgs.iter().map(|m| m.1).collect();
@@ -2047,7 +1848,7 @@ mod tests {
 
     #[test]
     fn one_shot_and_oversized_delays_never_pin_lanes() {
-        let mut w: World<u32> = World::with_scheduler_lanes(1, SchedulerKind::TwoTier, true);
+        let mut w: World<u32> = World::with_scheduler(1, SchedulerKind::TwoTier);
         let id = w.add(counter());
         // Distinct delays seen once each: candidates only, no lanes.
         for i in 1..20u64 {
@@ -2063,21 +1864,22 @@ mod tests {
                 panic!("two-tier world")
             };
             assert!(t.lanes.is_empty(), "no delay repeated within the ring");
+            assert_eq!(t.heap.len(), 27);
         }
         w.run_until_idle();
         assert_eq!(w.get::<Counter>(id).msgs.len(), 27);
     }
 
     #[test]
-    fn lanes_toggle_is_results_invisible() {
-        // The A/B contract: lanes on, lanes off and the classic heap must
+    fn lanes_are_results_invisible() {
+        // The A/B contract: the two-tier scheduler and the classic heap must
         // produce byte-identical deliveries, trace hashes and counters on a
         // workload mixing hot repeated delays, one-shots, same-instant
-        // collisions, trains, zero-delay chains, overflow-tier timers,
+        // collisions, trains, zero-delay chains, far-future timers,
         // interrupted runs and mid-run shrinks.
         type RunResult = (Vec<(u64, u32)>, Vec<u32>, (u64, u64), u64);
-        fn run(kind: SchedulerKind, lanes: bool) -> RunResult {
-            let mut w: World<u32> = World::with_scheduler_lanes(7, kind, lanes);
+        fn run(kind: SchedulerKind) -> RunResult {
+            let mut w: World<u32> = World::with_scheduler(7, kind);
             w.enable_trace();
             let id = w.add(counter());
             let chain = w.add(ZeroDelayChain {
@@ -2098,7 +1900,7 @@ mod tests {
                 v += 3;
                 w.post(base + Time::from_ns(100), chain, v); // fast-lane chain
                 v += 1;
-                w.post(base + Time::from_ms(3), id, v); // overflow tier
+                w.post(base + Time::from_ms(3), id, v); // far-future timer
                 v += 1;
                 w.shrink_idle();
             }
@@ -2110,9 +1912,7 @@ mod tests {
                 w.events_processed(),
             )
         }
-        let reference = run(SchedulerKind::Classic, true);
-        assert_eq!(run(SchedulerKind::TwoTier, true), reference);
-        assert_eq!(run(SchedulerKind::TwoTier, false), reference);
+        assert_eq!(run(SchedulerKind::TwoTier), run(SchedulerKind::Classic));
     }
 
     #[test]

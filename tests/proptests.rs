@@ -660,8 +660,9 @@ mod scheduler_lanes {
         }
     }
 
-    /// Hot repeats (lane-promotable), one exact wheel granule, a
-    /// just-past-the-window delay, and two overflow-horizon delays.
+    /// Hot repeats (lane-promotable), rarer lane-eligible delays from
+    /// 65.5 ns to 3 ms (each earns a lane only once it repeats), and a
+    /// lane-ineligible 30 s delay that always rides the heap.
     fn delay(r: u64) -> Time {
         match r % 9 {
             0 | 1 => Time::from_ns(100),
@@ -679,8 +680,8 @@ mod scheduler_lanes {
     /// count, and the stale-drop count.
     type Outcome = (Vec<Vec<(Time, u64)>>, (u64, u64), u64, u64);
 
-    fn run(kind: SchedulerKind, lanes: bool, ops: &[u16]) -> Outcome {
-        let mut w: World<u64> = World::with_scheduler_lanes(7, kind, lanes);
+    fn run(kind: SchedulerKind, ops: &[u16]) -> Outcome {
+        let mut w: World<u64> = World::with_scheduler(7, kind);
         w.enable_trace();
         let sink = w.add(Echo {
             peer: None,
@@ -749,38 +750,38 @@ mod scheduler_lanes {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Three worlds — Classic, TwoTier with lanes, TwoTier without —
-        /// fed the same op script must agree on every delivery (time and
-        /// order), the trace hash, the event count and the stale count.
+        /// Two worlds — Classic and TwoTier — fed the same op script must
+        /// agree on every delivery (time and order), the trace hash, the
+        /// event count and the stale count.
         #[test]
         fn lanes_preserve_exact_delivery_order(
             ops in proptest::collection::vec(0u16..u16::MAX, 1..120),
         ) {
-            let classic = run(SchedulerKind::Classic, false, &ops);
-            let lanes_on = run(SchedulerKind::TwoTier, true, &ops);
-            let lanes_off = run(SchedulerKind::TwoTier, false, &ops);
-            prop_assert_eq!(&lanes_on, &classic, "TwoTier+lanes diverged from Classic");
-            prop_assert_eq!(&lanes_off, &classic, "TwoTier w/o lanes diverged from Classic");
+            let classic = run(SchedulerKind::Classic, &ops);
+            let two_tier = run(SchedulerKind::TwoTier, &ops);
+            prop_assert_eq!(&two_tier, &classic, "TwoTier diverged from Classic");
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Lane-on vs lane-off A/B at the experiment level: delay lanes are a pure
-// scheduler-internal reshuffling, so FCTs, goodput and even the dispatched
-// event count must be bit-identical on every registered topology entry.
+// TwoTier vs Classic A/B at the experiment level: the fast lane, the delay
+// lanes and the heap are a pure scheduler-internal reshuffling of the
+// Classic heap's order, so FCTs, goodput and even the dispatched event count
+// must be bit-identical on every registered topology entry.
 
 mod lane_ab {
     use ndp::experiments::harness::{incast_run, permutation_run};
     use ndp::experiments::{Proto, TopoSpec};
-    use ndp::sim::{set_default_lanes, Speed, Time};
+    use ndp::sim::{set_default_scheduler, SchedulerKind, Speed, Time};
     use ndp::topology::{FatTreeCfg, LeafSpineCfg, TwoTierCfg};
     use proptest::prelude::*;
     use std::sync::Mutex;
 
-    /// Serializes sections that flip the process-wide lane default, so the
-    /// A and B runs of one case can't interleave with another case's flip.
-    static LANE_TOGGLE: Mutex<()> = Mutex::new(());
+    /// Serializes sections that flip the process-wide scheduler default, so
+    /// the A and B runs of one case can't interleave with another case's
+    /// flip.
+    static SCHED_TOGGLE: Mutex<()> = Mutex::new(());
 
     /// All six registered topology entries at quick scale.
     fn spec(ti: usize) -> TopoSpec {
@@ -794,22 +795,23 @@ mod lane_ab {
         }
     }
 
-    /// Runs `f` twice — lanes on, then off — restoring the on default.
+    /// Runs `f` twice — TwoTier, then Classic — restoring the TwoTier
+    /// default.
     fn ab<T>(f: impl Fn() -> T) -> (T, T) {
-        let _guard = LANE_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-        set_default_lanes(true);
+        let _guard = SCHED_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+        set_default_scheduler(SchedulerKind::TwoTier);
         let a = f();
-        set_default_lanes(false);
+        set_default_scheduler(SchedulerKind::Classic);
         let b = f();
-        set_default_lanes(true);
+        set_default_scheduler(SchedulerKind::TwoTier);
         (a, b)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2))]
 
-        /// Incast completion times are bit-identical with lanes on and
-        /// off, on all six registered topology entries.
+        /// Incast completion times are bit-identical on TwoTier and
+        /// Classic, on all six registered topology entries.
         #[test]
         fn incast_fcts_lane_invariant(seed in 0u64..1000) {
             for ti in 0..6 {
@@ -819,16 +821,16 @@ mod lane_ab {
                 let (a, b) =
                     ab(|| incast_run(Proto::Ndp, spec(ti), n, 45_000, None, seed, horizon));
                 prop_assert_eq!(a.incomplete, b.incomplete, "topology {}", ti);
-                prop_assert_eq!(a.fcts, b.fcts, "lane toggle changed FCTs on topology {}", ti);
+                prop_assert_eq!(a.fcts, b.fcts, "scheduler changed FCTs on topology {}", ti);
                 prop_assert_eq!(
                     a.events_processed, b.events_processed,
-                    "lanes reorder nothing, so event counts must match (topology {})", ti
+                    "schedulers reorder nothing, so event counts must match (topology {})", ti
                 );
             }
         }
 
-        /// Permutation goodput and utilization are bit-identical with
-        /// lanes on and off, on all six registered topology entries.
+        /// Permutation goodput and utilization are bit-identical on
+        /// TwoTier and Classic, on all six registered topology entries.
         #[test]
         fn permutation_goodput_lane_invariant(seed in 0u64..1000) {
             for ti in 0..6 {
